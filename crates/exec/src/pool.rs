@@ -206,7 +206,13 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
 
 impl<T: Send + Sync + 'static, R: Send + 'static> Drop for WorkerPool<T, R> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Raise the flag under the lock a worker holds between its
+            // shutdown check and its wait; otherwise the wake-up below can
+            // land in that gap and the worker sleeps forever.
+            let _state = self.shared.state.lock();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -506,6 +512,27 @@ mod tests {
         assert!(
             ids.lock().len() <= 3,
             "four rounds must run on the same three resident threads"
+        );
+    }
+
+    #[test]
+    fn dropping_a_fresh_pool_never_strands_a_worker() {
+        // A worker that checks the shutdown flag, loses the CPU, and only
+        // then waits must still see the drop's wake-up.  A lost wake-up
+        // shows within a few thousand cycles; the watchdog turns the hang
+        // into a failure.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..5_000 {
+                drop(WorkerPool::<u64, u64>::start(2, |_w, &t| t));
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .is_ok(),
+            "a dropped pool left a worker waiting for a wake-up that was lost"
         );
     }
 

@@ -1,9 +1,9 @@
 //! The worker side of the socket backend.
 //!
 //! A network worker is symmetric to the process backend's pipe worker — the
-//! same [`grasp_proc::worker::execute_payload`] kernels behind the same
-//! frame protocol — but its membership is *negotiated* rather than implied
-//! by a spawn:
+//! same [`grasp_proc::worker::Kernels`] dispatch behind the same frame
+//! protocol — but its membership is *negotiated* rather than implied by a
+//! spawn:
 //!
 //! 1. connect to the master's endpoint and send [`WireMsg::Join`] (pid,
 //!    wire version, capability mask);
@@ -16,10 +16,13 @@
 //!    master stops handing it new units, the worker finishes what is on its
 //!    wire, and the master's [`WireMsg::Shutdown`] releases it;
 //! 5. exit on [`WireMsg::Shutdown`] or a clean EOF.
+//!
+//! The kernel state lives as long as the connection: a worker that serves
+//! several bands of one mat-mul job generates its inputs once.
 
 use grasp_core::transport::{tcp_connect, FrameSink, FramedConnection};
 use grasp_core::wire::{FrameView, WireMsg, CAP_ALL, WIRE_VERSION};
-use grasp_proc::worker::execute_payload;
+use grasp_proc::worker::Kernels;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -84,12 +87,12 @@ pub fn run_connection(conn: FramedConnection, opts: WorkerOptions) -> i32 {
         eprintln!("grasp-net-worker: could not reach the master");
         return 2;
     }
-    let (heartbeat_interval_s, spin_per_work_unit) = match source.recv() {
+    let (heartbeat_interval_s, mut kernels) = match source.recv() {
         Ok(Some(WireMsg::Welcome {
             heartbeat_interval_s,
             spin_per_work_unit,
             ..
-        })) => (heartbeat_interval_s, spin_per_work_unit),
+        })) => (heartbeat_interval_s, Kernels::new(spin_per_work_unit)),
         // A rejection (version/capability mismatch) is answered with
         // Shutdown or a plain close: not this worker's error.
         Ok(Some(WireMsg::Shutdown)) | Ok(None) => return 0,
@@ -127,7 +130,7 @@ pub fn run_connection(conn: FramedConnection, opts: WorkerOptions) -> i32 {
                 payload,
             })) => {
                 let t0 = Instant::now();
-                match execute_payload(kind, payload, work, spin_per_work_unit) {
+                match kernels.execute(kind, payload, work) {
                     Ok(digest) => WireMsg::Done {
                         unit_id,
                         elapsed_s: t0.elapsed().as_secs_f64(),

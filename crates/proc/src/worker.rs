@@ -13,6 +13,12 @@
 //! 4. exit on [`WireMsg::Shutdown`] or a clean `stdin` EOF (the master
 //!    closing a demoted worker's channel *is* the shutdown signal).
 //!
+//! The loop runs every payload through one owned [`Kernels`] state, which
+//! keeps the mat-mul inputs of the job being served: a worker process
+//! serves one job, so it generates that job's matrices on its first band
+//! and reuses them for every later band.  The master never holds this
+//! state; it ships descriptors only.
+//!
 //! A dedicated heartbeat thread keeps writing [`WireMsg::Heartbeat`] frames
 //! at the configured cadence even while the main thread is deep in a long
 //! computation, so the master's liveness timeout only ever fires for
@@ -23,37 +29,102 @@ use grasp_core::shm::ShmRing;
 use grasp_core::transport::{stream_connection, FrameSink, FrameSource};
 use grasp_core::wire::{FrameView, WireMsg, PAYLOAD_IMAGING, PAYLOAD_MATMUL, PAYLOAD_SPIN};
 use grasp_workloads::imaging::ImagingFrameTask;
-use grasp_workloads::matmul::MatMulBandTask;
+use grasp_workloads::matmul::{MatMulBandTask, MatMulInputs};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Execute one task payload, returning the result digest.
+/// The kernel state one worker protocol loop owns: its spin scale, the
+/// mat-mul inputs of the job it last served and a reused band buffer.
+///
+/// [`Kernels::execute`] is the one payload dispatch behind both protocol
+/// loops ([`run_transport`] here, `grasp_net::worker::run_connection` on the
+/// socket backend):
 ///
 /// * [`PAYLOAD_SPIN`] burns the same calibrated spin kernel the thread
 ///   backend uses, scaled by the unit's declared work (digest 0);
-/// * [`PAYLOAD_MATMUL`] / [`PAYLOAD_IMAGING`] decode and run the real
-///   `grasp-workloads` kernels, digesting the computed result.
+/// * [`PAYLOAD_MATMUL`] decodes the band and multiplies it over cached
+///   inputs.  The cache holds one entry keyed by `(n, seed)` — a band's
+///   inputs do not depend on its blocking — so only the first band of a job
+///   (or a band of a different `(n, seed)`) generates them, and a miss
+///   replaces the entry.  Once warm, a band of the same job allocates
+///   nothing;
+/// * [`PAYLOAD_IMAGING`] decodes and runs the imaging frame kernel.
 ///
-/// Unknown kinds and malformed payloads are typed errors — the caller
-/// reports them as [`WireMsg::Failed`] and keeps serving.
+/// Every result digest is bit-identical to the cold
+/// [`MatMulBandTask::digest`] / [`ImagingFrameTask::digest`].  Unknown
+/// kinds and malformed payloads are typed errors that leave the cache as it
+/// was — the caller reports them as [`WireMsg::Failed`] and keeps serving.
+#[derive(Debug)]
+pub struct Kernels {
+    spin_per_work_unit: u64,
+    matmul_inputs: Option<MatMulInputs>,
+    band: Vec<f64>,
+    input_generations: u64,
+}
+
+impl Kernels {
+    /// Empty kernel state for a worker whose spin kernel runs
+    /// `spin_per_work_unit` iterations per declared work unit.  Allocates
+    /// nothing until the first mat-mul band.
+    pub fn new(spin_per_work_unit: u64) -> Self {
+        Kernels {
+            spin_per_work_unit,
+            matmul_inputs: None,
+            band: Vec::new(),
+            input_generations: 0,
+        }
+    }
+
+    /// Execute one task payload of declared `work`, returning the result
+    /// digest.
+    pub fn execute(&mut self, kind: u32, payload: &[u8], work: f64) -> Result<u64, GraspError> {
+        match kind {
+            PAYLOAD_SPIN => {
+                let iters = (work.max(0.0) * self.spin_per_work_unit as f64).round() as u64;
+                grasp_exec::spin(iters);
+                Ok(0)
+            }
+            PAYLOAD_MATMUL => {
+                let task = MatMulBandTask::decode(payload)?;
+                if self
+                    .matmul_inputs
+                    .as_ref()
+                    .is_some_and(|inputs| !inputs.serves(&task.job))
+                {
+                    // Drop the stale entry before generating, so a worker
+                    // never holds more than one job's inputs.
+                    self.matmul_inputs = None;
+                }
+                let inputs = self.matmul_inputs.get_or_insert_with(|| {
+                    self.input_generations += 1;
+                    MatMulInputs::generate(&task.job)
+                });
+                Ok(task.digest_with(inputs, &mut self.band))
+            }
+            PAYLOAD_IMAGING => Ok(ImagingFrameTask::decode(payload)?.digest()),
+            other => Err(GraspError::WireProtocol {
+                detail: format!("unknown task payload kind {other}"),
+            }),
+        }
+    }
+
+    /// How many times this state has generated mat-mul inputs: once per
+    /// run of bands sharing an `(n, seed)`.
+    pub fn input_generations(&self) -> u64 {
+        self.input_generations
+    }
+}
+
+/// Execute one task payload on fresh kernel state, returning the result
+/// digest: the stateless cold path (a mat-mul band generates its inputs for
+/// itself alone).  A worker loop keeps a [`Kernels`] instead.
 pub fn execute_payload(
     kind: u32,
     payload: &[u8],
     work: f64,
     spin_per_work_unit: u64,
 ) -> Result<u64, GraspError> {
-    match kind {
-        PAYLOAD_SPIN => {
-            let iters = (work.max(0.0) * spin_per_work_unit as f64).round() as u64;
-            grasp_exec::spin(iters);
-            Ok(0)
-        }
-        PAYLOAD_MATMUL => Ok(MatMulBandTask::decode(payload)?.digest()),
-        PAYLOAD_IMAGING => Ok(ImagingFrameTask::decode(payload)?.digest()),
-        other => Err(GraspError::WireProtocol {
-            detail: format!("unknown task payload kind {other}"),
-        }),
-    }
+    Kernels::new(spin_per_work_unit).execute(kind, payload, work)
 }
 
 fn send(out: &Arc<Mutex<Box<dyn FrameSink>>>, msg: &WireMsg) -> Result<(), GraspError> {
@@ -107,11 +178,11 @@ pub fn run_transport(sink: Box<dyn FrameSink>, mut source: Box<dyn FrameSource>)
         return 2;
     }
     // The master speaks Init first; anything else is a protocol breach.
-    let (heartbeat_interval_s, spin_per_work_unit) = match source.recv() {
+    let (heartbeat_interval_s, mut kernels) = match source.recv() {
         Ok(Some(WireMsg::Init {
             heartbeat_interval_s,
             spin_per_work_unit,
-        })) => (heartbeat_interval_s, spin_per_work_unit),
+        })) => (heartbeat_interval_s, Kernels::new(spin_per_work_unit)),
         Ok(Some(other)) => {
             eprintln!("grasp-proc-worker: expected Init, got {other:?}");
             return 2;
@@ -143,7 +214,7 @@ pub fn run_transport(sink: Box<dyn FrameSink>, mut source: Box<dyn FrameSource>)
                 payload,
             })) => {
                 let t0 = Instant::now();
-                match execute_payload(kind, payload, work, spin_per_work_unit) {
+                match kernels.execute(kind, payload, work) {
                     Ok(digest) => WireMsg::Done {
                         unit_id,
                         elapsed_s: t0.elapsed().as_secs_f64(),
@@ -206,5 +277,91 @@ mod tests {
         assert!(execute_payload(PAYLOAD_MATMUL, &[1, 2, 3], 1.0, 1).is_err());
         assert!(execute_payload(PAYLOAD_IMAGING, &[], 1.0, 1).is_err());
         assert!(execute_payload(999, &[], 1.0, 1).is_err());
+    }
+
+    /// Serve `(job, band)` on `kernels` and check the cold reference digest.
+    fn serve(kernels: &mut Kernels, job: &MatMulJob, band: usize) {
+        let task = job.band_task(band);
+        let digest = kernels
+            .execute(PAYLOAD_MATMUL, &task.encode(), 1.0)
+            .unwrap_or_else(|e| panic!("{job:?} band {band}: {e}"));
+        assert_eq!(digest, task.digest(), "{job:?} band {band}");
+    }
+
+    #[test]
+    fn interleaved_bands_of_different_seeds_and_sizes_digest_exactly() {
+        let base = MatMulJob::small();
+        let jobs = [
+            base,
+            MatMulJob { seed: 2, ..base },
+            MatMulJob { n: 48, ..base },
+        ];
+        let mut kernels = Kernels::new(1);
+        let mut misses = 0;
+        for band in 0..base.task_count() {
+            for job in &jobs {
+                if band < job.task_count() {
+                    serve(&mut kernels, job, band);
+                    misses += 1;
+                }
+            }
+        }
+        // Every switch of (n, seed) replaces the single entry.
+        assert_eq!(kernels.input_generations(), misses);
+    }
+
+    #[test]
+    fn jobs_differing_only_in_blocking_share_one_generation() {
+        let job = MatMulJob::small();
+        let finest = MatMulJob {
+            block_rows: 5,
+            ..job
+        };
+        let coarsest = MatMulJob {
+            block_rows: 64,
+            ..job
+        };
+        let mut kernels = Kernels::new(1);
+        for band in 0..finest.task_count() {
+            for j in [&job, &finest, &coarsest] {
+                if band < j.task_count() {
+                    serve(&mut kernels, j, band);
+                }
+            }
+        }
+        assert_eq!(kernels.input_generations(), 1);
+    }
+
+    #[test]
+    fn failures_between_bands_do_not_poison_the_cache() {
+        let job = MatMulJob::small();
+        let mut kernels = Kernels::new(10);
+        serve(&mut kernels, &job, 0);
+        let good = job.band_task(1).encode();
+        // A truncated band, an out-of-range band and an unknown kind are
+        // typed errors...
+        assert!(matches!(
+            kernels.execute(PAYLOAD_MATMUL, &good[..good.len() - 1], 1.0),
+            Err(GraspError::WireProtocol { .. })
+        ));
+        let outside = MatMulBandTask {
+            row0: job.n,
+            ..job.band_task(0)
+        };
+        assert!(matches!(
+            kernels.execute(PAYLOAD_MATMUL, &outside.encode(), 1.0),
+            Err(GraspError::WireProtocol { .. })
+        ));
+        assert!(matches!(
+            kernels.execute(999, &good, 1.0),
+            Err(GraspError::WireProtocol { .. })
+        ));
+        // ...spin units are unaffected...
+        assert_eq!(kernels.execute(PAYLOAD_SPIN, &[], 2.0).unwrap(), 0);
+        // ...and the job's remaining bands still hit the warm entry.
+        for band in 1..job.task_count() {
+            serve(&mut kernels, &job, band);
+        }
+        assert_eq!(kernels.input_generations(), 1);
     }
 }

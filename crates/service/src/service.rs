@@ -248,7 +248,13 @@ impl GraspService {
     }
 
     fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Raise the flag under the queue lock the dispatcher holds
+            // between its shutdown check and its wait; otherwise the
+            // wake-up below can land in that gap and the join never returns.
+            let _queue = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
@@ -820,6 +826,30 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.completed, 8);
         assert!(service.stats().profile.entries >= 1);
+    }
+
+    #[test]
+    fn dropping_a_service_right_after_a_job_never_hangs() {
+        // The dispatcher re-checks the shutdown flag and then waits on the
+        // queue; a drop landing between the two must still wake it.  The
+        // watchdog turns a lost wake-up (a join that never returns) into a
+        // failure.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..10_000 {
+                let service = GraspService::start(quick_config(2));
+                let handle = service.submit(farm(2, 1.0), JobSpec::default());
+                handle.expect("admitted").wait().expect("job completes");
+                drop(service);
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .is_ok(),
+            "a dropped service left its dispatcher waiting for a lost wake-up"
+        );
     }
 
     #[test]

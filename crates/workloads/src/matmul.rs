@@ -62,17 +62,37 @@ impl MatMulJob {
 
     /// Compute rows `[row0, row0+rows)` of `C = A × B` (the real kernel).
     ///
+    /// Allocates the band; [`MatMulJob::multiply_band_into`] is the same
+    /// kernel writing into a reused buffer.
+    pub fn multiply_band(&self, a: &[f64], b: &[f64], row0: usize, rows: usize) -> Vec<f64> {
+        let mut c = Vec::new();
+        self.multiply_band_into(a, b, row0, rows, &mut c);
+        c
+    }
+
+    /// Compute rows `[row0, row0+rows)` of `C = A × B` into `c`, which is
+    /// cleared and resized to the band: once `c` has held a band this size
+    /// the call allocates nothing.
+    ///
     /// The k dimension is blocked so each stripe of `B` rows stays cache-hot
     /// across every output row of the band, and the inner `j` loop runs over
     /// paired slices — no index arithmetic, no bounds checks — so it
     /// autovectorizes.  Per output element the accumulation order is still
     /// ascending `k` (blocks ascend, `k` ascends within a block), so results
     /// are bit-identical across block sizes and with the naive triple loop.
-    pub fn multiply_band(&self, a: &[f64], b: &[f64], row0: usize, rows: usize) -> Vec<f64> {
+    pub fn multiply_band_into(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        row0: usize,
+        rows: usize,
+        c: &mut Vec<f64>,
+    ) {
         const K_BLOCK: usize = 64;
         let n = self.n;
         let rows = rows.min(n.saturating_sub(row0));
-        let mut c = vec![0.0; rows * n];
+        c.clear();
+        c.resize(rows * n, 0.0);
         for k0 in (0..n).step_by(K_BLOCK) {
             let k1 = (k0 + K_BLOCK).min(n);
             for i in 0..rows {
@@ -87,7 +107,6 @@ impl MatMulJob {
                 }
             }
         }
-        c
     }
 
     /// Floating-point operations per row-band task (2·rows·n²).
@@ -96,8 +115,10 @@ impl MatMulJob {
     }
 
     /// The job as abstract farm tasks: identical work per band, input = the
-    /// band of `A` plus all of `B` is amortised as just the band (B is
-    /// broadcast once in practice), output = the band of `C`.
+    /// band of `A` plus all of `B` is amortised as just the band (the inputs
+    /// reach a node once per job, not once per band — a process worker
+    /// derives them on its first band and reuses them, see
+    /// [`MatMulInputs`]), output = the band of `C`.
     pub fn as_tasks(&self, flops_per_work_unit: f64) -> Vec<TaskSpec> {
         let scale = flops_per_work_unit.max(1.0);
         let band_bytes = (self.block_rows * self.n * 8) as u64;
@@ -135,10 +156,44 @@ impl MatMulJob {
     }
 }
 
+/// A job's two input matrices, tagged with the `(n, seed)` they were
+/// generated from.
+///
+/// The inputs depend on the dimension and the seed only — not on
+/// `block_rows` or the band — so one `MatMulInputs` serves every band of
+/// every job with the same `(n, seed)`.  A worker keeps one and passes it
+/// to [`MatMulBandTask::digest_with`] instead of regenerating per band.
+#[derive(Debug)]
+pub struct MatMulInputs {
+    n: usize,
+    seed: u64,
+    a: Vec<f64>,
+    b: Vec<f64>,
+}
+
+impl MatMulInputs {
+    /// Generate `job`'s inputs ([`MatMulJob::generate_inputs`]).
+    pub fn generate(job: &MatMulJob) -> Self {
+        let (a, b) = job.generate_inputs();
+        MatMulInputs {
+            n: job.n,
+            seed: job.seed,
+            a,
+            b,
+        }
+    }
+
+    /// Whether these are `job`'s inputs: same dimension, same seed.
+    pub fn serves(&self, job: &MatMulJob) -> bool {
+        self.n == job.n && self.seed == job.seed
+    }
+}
+
 /// One serializable, self-contained mat-mul band computation: the job
-/// parameters plus the band coordinates.  Inputs are *derived* (regenerated
-/// from the job seed), not shipped — the grid model this reproduces
-/// broadcasts descriptors, not matrices.
+/// parameters plus the band coordinates.  Inputs are *derived* from the job
+/// seed, not shipped — the grid model this reproduces broadcasts
+/// descriptors, not matrices — and a worker derives them once per
+/// `(n, seed)` ([`MatMulInputs`]), not once per band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatMulBandTask {
     /// The enclosing job (dimension, blocking, input seed).
@@ -191,17 +246,41 @@ impl MatMulBandTask {
         Ok(task)
     }
 
-    /// Execute the band locally (regenerates the inputs from the job seed).
+    /// Execute the band standalone: generates the job's inputs for this one
+    /// band (the cold path; a worker reuses its inputs through
+    /// [`MatMulBandTask::digest_with`]).
     pub fn execute(&self) -> Vec<f64> {
         let (a, b) = self.job.generate_inputs();
         self.job.multiply_band(&a, &b, self.row0, self.rows)
     }
 
     /// Deterministic digest of the band result, computed over the exact
-    /// IEEE-754 bit patterns — identical wherever the kernel runs.
+    /// IEEE-754 bit patterns — identical wherever the kernel runs.  Cold:
+    /// generates the inputs for this band alone.
     pub fn digest(&self) -> u64 {
+        self.digest_with(&MatMulInputs::generate(&self.job), &mut Vec::new())
+    }
+
+    /// Multiply the band over borrowed `inputs` into `band` (cleared and
+    /// reused, so a warm buffer makes this allocation-free) and digest it —
+    /// the one kernel-and-fold behind every mat-mul digest.
+    ///
+    /// # Panics
+    ///
+    /// If `inputs` do not [serve](MatMulInputs::serves) this band's job.
+    pub fn digest_with(&self, inputs: &MatMulInputs, band: &mut Vec<f64>) -> u64 {
+        assert!(
+            inputs.serves(&self.job),
+            "mat-mul inputs for (n={}, seed={}) cannot serve a band of (n={}, seed={})",
+            inputs.n,
+            inputs.seed,
+            self.job.n,
+            self.job.seed
+        );
+        self.job
+            .multiply_band_into(&inputs.a, &inputs.b, self.row0, self.rows, band);
         let mut h = Fnv64::new();
-        for v in self.execute() {
+        for v in band.iter() {
             h.update(&v.to_bits().to_le_bytes());
         }
         h.finish()
@@ -331,6 +410,43 @@ mod tests {
             rows: 1,
         };
         assert!(MatMulBandTask::decode(&bad.encode()).is_err());
+    }
+
+    #[test]
+    fn shared_inputs_digest_every_band_like_the_cold_path() {
+        // One generation serves every band of every blocking of (n, seed),
+        // through one reused band buffer, bit-identically to `digest()`.
+        let job = MatMulJob {
+            n: 40,
+            block_rows: 16,
+            seed: 9,
+        };
+        let inputs = MatMulInputs::generate(&job);
+        let mut band = Vec::new();
+        for blocking in [
+            job,
+            MatMulJob {
+                block_rows: 7,
+                ..job
+            },
+        ] {
+            assert!(inputs.serves(&blocking));
+            for i in 0..blocking.task_count() {
+                let task = blocking.band_task(i);
+                assert_eq!(task.digest_with(&inputs, &mut band), task.digest());
+                assert_eq!(band, task.execute());
+            }
+        }
+        assert!(!inputs.serves(&MatMulJob { seed: 10, ..job }));
+        assert!(!inputs.serves(&MatMulJob { n: 41, ..job }));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot serve")]
+    fn inputs_of_another_seed_are_refused() {
+        let job = MatMulJob::small();
+        let other = MatMulInputs::generate(&MatMulJob { seed: 2, ..job });
+        job.band_task(0).digest_with(&other, &mut Vec::new());
     }
 
     #[test]

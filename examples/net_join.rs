@@ -17,8 +17,11 @@ use grasp_repro::grasp_net::NetBackend;
 use grasp_repro::grasp_workloads::matmul::MatMulJob;
 
 fn main() {
+    // Sized so the job outlasts a process spawn plus handshake by a wide
+    // margin: workers derive the inputs once and reuse them, so each band
+    // costs little more than its multiply.
     let job = MatMulJob {
-        n: 192,
+        n: 512,
         block_rows: 16,
         seed: 9,
     };

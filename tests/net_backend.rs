@@ -423,6 +423,42 @@ fn thread_proc_and_net_backends_agree_on_a_fixed_seed_matmul_farm() {
 }
 
 #[test]
+fn a_net_worker_serves_every_band_of_a_matmul_job_with_the_reference_digest() {
+    // One loopback worker serves all bands of a multi-band job over one
+    // connection, so it generates the inputs once and reuses them: every
+    // band's digest must still equal the cold local kernel's.
+    let job = MatMulJob {
+        n: 64,
+        block_rows: 8,
+        seed: 23,
+    };
+    let skeleton = Skeleton::farm(job.as_tasks(1e6));
+    let (net, acceptor) = LoopbackNet::new();
+    let backend = loopback_backend(Box::new(acceptor), 1).with_payloads(job.wire_payloads());
+    let worker = spawn_worker(&net, WorkerOptions::default());
+    let report = Grasp::new(GraspConfig::default())
+        .run(&backend, &skeleton)
+        .expect("net mat-mul run failed");
+    assert_eq!(worker.join().unwrap(), 0);
+    assert!(report.outcome.conserves_units_of(&skeleton));
+    match &report.outcome.detail {
+        OutcomeDetail::NetFarm { unit_digests, .. } => {
+            let units: BTreeSet<usize> = unit_digests.iter().map(|&(unit, _)| unit).collect();
+            assert_eq!(units.len(), job.task_count(), "one digest per band");
+            assert_eq!(unit_digests.len(), job.task_count());
+            for &(unit, digest) in unit_digests {
+                assert_eq!(
+                    digest,
+                    job.band_task(unit).digest(),
+                    "band {unit} served from the worker's cached inputs"
+                );
+            }
+        }
+        other => panic!("unexpected detail {other:?}"),
+    }
+}
+
+#[test]
 fn the_membership_substrate_outlives_a_job() {
     // The acceptor (the Join/Welcome membership endpoint) is recycled at
     // each run's orderly shutdown, so one harness backend serves many

@@ -82,9 +82,10 @@ fn proc_and_thread_backends_agree_on_a_fixed_seed_matmul_farm() {
 #[test]
 fn proc_workers_compute_real_matmul_bands_with_matching_digests() {
     // Ship the *real* kernel over the wire: each worker process decodes a
-    // serialized band task, regenerates the inputs from the seed, multiplies,
-    // and reports a digest of the exact result bits.  The master-side digest
-    // of the same band must agree — the process boundary changed nothing.
+    // serialized band task, derives the inputs from the seed (once, on its
+    // first band, then reused), multiplies, and reports a digest of the
+    // exact result bits.  The master-side digest of the same band must
+    // agree — the process boundary and the reuse changed nothing.
     let job = MatMulJob {
         n: 64,
         block_rows: 16,

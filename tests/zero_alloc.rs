@@ -1,4 +1,5 @@
-//! Steady-state allocation check for the zero-copy data plane.
+//! Steady-state allocation checks for the zero-copy data plane, the
+//! work-stealing dispatcher and the worker's warm mat-mul kernel.
 //!
 //! The borrowed decode path exists so that the per-frame cost on a hot
 //! receive loop is bounded by the bytes moved, not by allocator traffic.
@@ -11,10 +12,12 @@
 
 use allocation_counter::measure;
 use grasp_repro::grasp_core::transport::Acceptor;
-use grasp_repro::grasp_core::wire::{FrameView, WireMsg, PAYLOAD_SPIN};
+use grasp_repro::grasp_core::wire::{FrameView, WireMsg, PAYLOAD_MATMUL, PAYLOAD_SPIN};
 use grasp_repro::grasp_core::SchedulePolicy;
 use grasp_repro::grasp_exec::StealDeque;
 use grasp_repro::grasp_net::LoopbackNet;
+use grasp_repro::grasp_proc::worker::Kernels;
+use grasp_repro::grasp_workloads::MatMulJob;
 
 #[test]
 fn steady_state_frame_receive_and_decode_allocates_nothing() {
@@ -142,5 +145,50 @@ fn steady_state_work_stealing_dispatch_allocates_nothing() {
         "steady-state owner/thief dispatch must not touch the heap, but \
          allocated {} times ({} bytes) over {RANGE} tasks: {info:?}",
         info.count_total, info.bytes_total
+    );
+}
+
+#[test]
+fn warm_worker_matmul_bands_allocate_nothing() {
+    // A worker generates a mat-mul job's inputs on the job's first band and
+    // reuses them, together with its band buffer, for every later band.  So
+    // once one band has warmed the kernel state, each further band of the
+    // job must perform **zero** heap allocations.  Regenerating the inputs
+    // per band (2n² doubles each time) would show up here at once.
+    let job = MatMulJob {
+        n: 128,
+        block_rows: 16,
+        seed: 7,
+    };
+    let payloads: Vec<Vec<u8>> = (0..job.task_count())
+        .map(|band| job.band_task(band).encode())
+        .collect();
+    let reference: Vec<u64> = (0..job.task_count())
+        .map(|band| job.band_task(band).digest())
+        .collect();
+
+    let mut kernels = Kernels::new(1);
+    let first = kernels
+        .execute(PAYLOAD_MATMUL, &payloads[0], 1.0)
+        .expect("warmup band");
+    assert_eq!(first, reference[0]);
+
+    let mut digests = Vec::with_capacity(payloads.len());
+    let info = measure(|| {
+        for payload in &payloads[1..] {
+            digests.push(kernels.execute(PAYLOAD_MATMUL, payload, 1.0));
+        }
+    });
+    let digests: Vec<u64> = digests.into_iter().map(|d| d.expect("warm band")).collect();
+    assert_eq!(digests, reference[1..], "warm bands digest like cold ones");
+    assert_eq!(kernels.input_generations(), 1);
+    assert_eq!(
+        info.count_total,
+        0,
+        "warm mat-mul bands must not touch the heap, but allocated {} times \
+         ({} bytes) over {} bands: {info:?}",
+        info.count_total,
+        info.bytes_total,
+        payloads.len() - 1
     );
 }
