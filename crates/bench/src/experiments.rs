@@ -15,7 +15,7 @@ use grasp_core::calibration::Calibrator;
 use grasp_core::prelude::*;
 use grasp_exec::ThreadBackend;
 use grasp_net::worker::{run_connection, WorkerOptions};
-use grasp_net::{LoopbackNet, NetBackend};
+use grasp_net::{FaultScript, FrameGate, LoopbackNet, NetBackend};
 use grasp_proc::ProcBackend;
 use grasp_service::{GraspService, JobSpec, ServiceConfig};
 use grasp_workloads::matmul::MatMulJob;
@@ -626,10 +626,9 @@ pub fn e10_churn(
 /// compares the two regimes on identical workloads: the full-adaptive run
 /// must show the demotion in its adaptation log, and the slowed worker
 /// should absorb fewer units (it is cut off instead of trickling on).
-/// Tuning mirrors the wall-clock acceptance tests: slowed units stay well
-/// under the monitor interval so the slow worker reports into every
-/// evaluation window, and `min_active_nodes = 1` keeps a demotion slot
-/// available on noisy shared machines.
+/// The adaptation loop runs on the virtual [`EngineClock`]: each unit
+/// reports its declared spin cost, so the demotion decision is the same on
+/// every host, while the slowed spin (and so the makespan) stays real.
 pub fn e11_thread_slowdown(tasks_n: usize, slow_factor: f64) -> Table {
     let mut table = Table::new(
         format!("E11: thread farm under a {slow_factor}x worker-0 slowdown ({tasks_n} units)"),
@@ -648,14 +647,17 @@ pub fn e11_thread_slowdown(tasks_n: usize, slow_factor: f64) -> Table {
         let backend = ThreadBackend::new(4).with_config(
             BackendConfig::new()
                 .spin_per_work_unit(30_000)
-                .faults(FaultInjection::none().worker_slowdown(0, 8, slow_factor)),
+                .faults(FaultInjection::none().worker_slowdown(0, 8, slow_factor))
+                .clock(EngineClock::Virtual {
+                    seconds_per_spin: 1e-9,
+                }),
         );
         let mut cfg = GraspConfig {
             scheduler: SchedulePolicy::SelfScheduling,
             ..GraspConfig::default()
         };
         cfg.execution.adaptive = engine_on;
-        cfg.execution.monitor_interval_s = 3e-3; // wall seconds
+        cfg.execution.monitor_interval_s = 3e-3; // virtual seconds: 100 healthy units
         cfg.execution.min_active_nodes = 1;
         Grasp::new(cfg)
             .run(&backend, &skeleton)
@@ -797,7 +799,11 @@ pub fn e12_proc_backend(matmul_n: usize, block_rows: usize) -> Table {
 /// trail, calibration probes spent, and the share of real units the late
 /// joiners absorbed — plus the master's frame-encode seconds and the payload
 /// bytes copied per unit (the loopback transport's channel hand-off is the
-/// one copy its in-process delivery cannot avoid).
+/// one copy its in-process delivery cannot avoid).  Frame gates pin the
+/// growth order: the late workers connect once dispatch has begun, and the
+/// founders hold the result that would take them past the join point until
+/// every late worker has served a real unit, so the late half cannot arrive
+/// after the work is gone.
 pub fn e13_net_membership(tasks_n: usize, pool: usize) -> Table {
     let pool = pool.max(2);
     let founders = (pool / 2).max(1);
@@ -832,16 +838,48 @@ pub fn e13_net_membership(tasks_n: usize, pool: usize) -> Table {
                 .with_hold_joins_until(hold_until)
                 .with_join_calibration_units(probes_per_joiner);
         }
-        let handles: Vec<_> = (0..pool)
-            .map(|_| {
-                let conn = net.connect().expect("loopback connect failed");
-                std::thread::spawn(move || run_connection(conn, WorkerOptions::default()))
-            })
-            .collect();
+        let spawn = |script: FaultScript| {
+            let conn = net
+                .connect_faulty(script, FaultScript::clean())
+                .expect("loopback connect failed");
+            std::thread::spawn(move || run_connection(conn, WorkerOptions::default()))
+        };
         let skeleton = Skeleton::farm(TaskSpec::uniform(tasks_n, 1.0, 0, 0));
-        let report = Grasp::new(GraspConfig::default())
-            .run(&backend, &skeleton)
-            .expect("membership experiment run failed");
+        let mut handles = Vec::new();
+        let report = if grow {
+            let dispatching = FrameGate::new();
+            let served: Vec<FrameGate> = (founders..pool).map(|_| FrameGate::new()).collect();
+            // Frame 0 is the Join; each founder delivers the Dones before
+            // `hold_frame`, together at least the `hold_until` results the
+            // join point waits for.
+            let hold_frame = hold_until.div_ceil(founders) + 1;
+            let founder_script = served.iter().fold(FaultScript::clean(), |script, gate| {
+                script.hold_until(hold_frame, gate)
+            });
+            handles.push(spawn(founder_script.clone().open_at(1, &dispatching)));
+            for _ in 1..founders {
+                handles.push(spawn(founder_script.clone()));
+            }
+            std::thread::scope(|scope| {
+                let job =
+                    scope.spawn(|| Grasp::new(GraspConfig::default()).run(&backend, &skeleton));
+                dispatching.wait(std::time::Duration::from_secs(30));
+                for gate in &served {
+                    // A late worker's first real Done follows its Join and
+                    // its probe Dones.
+                    handles.push(spawn(
+                        FaultScript::clean().open_at(1 + probes_per_joiner, gate),
+                    ));
+                }
+                job.join().expect("membership experiment master panicked")
+            })
+        } else {
+            for _ in 0..pool {
+                handles.push(spawn(FaultScript::clean()));
+            }
+            Grasp::new(GraspConfig::default()).run(&backend, &skeleton)
+        }
+        .expect("membership experiment run failed");
         for h in handles {
             assert_eq!(h.join().unwrap(), 0, "every worker must exit cleanly");
         }

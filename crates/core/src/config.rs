@@ -5,6 +5,7 @@
 //! the experiment harness can sweep it.
 
 use crate::calibration::CalibrationMode;
+use crate::engine::EngineClock;
 use crate::error::GraspError;
 use crate::scheduler::SchedulePolicy;
 use crate::threshold::ThresholdPolicy;
@@ -253,6 +254,10 @@ pub struct BackendConfig {
     pub worker_panic_budget: Option<usize>,
     /// The fault-injection plan (defaults to no injected faults).
     pub faults: FaultInjection,
+    /// The clock the thread farm's adaptation loop runs on (defaults to the
+    /// wall clock).  The process and socket backends time units on their
+    /// workers and ignore it.
+    pub clock: EngineClock,
 }
 
 impl BackendConfig {
@@ -301,6 +306,12 @@ impl BackendConfig {
     /// Attach a fault-injection plan.
     pub fn faults(mut self, faults: FaultInjection) -> Self {
         self.faults = faults;
+        self
+    }
+
+    /// Run the adaptation loop on `clock` (see [`EngineClock`]).
+    pub fn clock(mut self, clock: EngineClock) -> Self {
+        self.clock = clock;
         self
     }
 }
@@ -517,6 +528,7 @@ mod tests {
         assert_eq!(cfg.max_task_attempts, None);
         assert_eq!(cfg.worker_bin, None);
         assert!(cfg.faults.is_empty());
+        assert_eq!(cfg.clock, EngineClock::Wall);
     }
 
     #[test]

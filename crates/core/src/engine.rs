@@ -50,6 +50,7 @@ use crate::execution::{ExecutionMonitor, MonitorVerdict};
 use crate::threshold::ThresholdPolicy;
 use gridsim::{NodeId, SimTime};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A wall-clock source yielding [`SimTime`] stamps, so real-thread backends
@@ -78,6 +79,75 @@ impl WallClock {
 impl Default for WallClock {
     fn default() -> Self {
         WallClock::start()
+    }
+}
+
+/// Which clock a real-execution backend's adaptation loop runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum EngineClock {
+    /// Real elapsed time: unit costs and monitor stamps are what the host
+    /// delivered, scheduler noise included.
+    #[default]
+    Wall,
+    /// Declared time, for reproducible adaptation decisions: a unit of
+    /// `iters` spin iterations costs `iters × seconds_per_spin` seconds
+    /// whatever the host did, and the monitor's clock reads the total cost
+    /// charged so far.  A decision then depends on what ran, not on how
+    /// the host happened to schedule it.
+    Virtual {
+        /// Declared seconds per spin-kernel iteration.
+        seconds_per_spin: f64,
+    },
+}
+
+/// One job's running [`EngineClock`]: the stamps the engine sees and the
+/// cost each executed unit reports.
+#[derive(Debug)]
+pub struct JobClock {
+    wall: WallClock,
+    /// `Some(seconds_per_spin)` on the virtual clock.
+    seconds_per_spin: Option<f64>,
+    /// Virtual seconds charged so far, as `f64` bits.
+    charged_bits: AtomicU64,
+}
+
+impl JobClock {
+    /// Start a clock of the given kind now.
+    pub fn start(kind: EngineClock) -> Self {
+        JobClock {
+            wall: WallClock::start(),
+            seconds_per_spin: match kind {
+                EngineClock::Wall => None,
+                EngineClock::Virtual { seconds_per_spin } => Some(seconds_per_spin.max(0.0)),
+            },
+            charged_bits: AtomicU64::new(0.0f64.to_bits()),
+        }
+    }
+
+    /// The current stamp: seconds since the start on the wall clock, the
+    /// total charged cost on the virtual one.
+    pub fn now(&self) -> SimTime {
+        match self.seconds_per_spin {
+            None => self.wall.now(),
+            Some(_) => SimTime::new(f64::from_bits(self.charged_bits.load(Ordering::Acquire))),
+        }
+    }
+
+    /// The cost in seconds of one executed unit of `iters` spin
+    /// iterations that took `measured_s` wall seconds.  The wall clock
+    /// reports the measurement; the virtual clock charges and reports the
+    /// declared cost.
+    pub fn unit_cost(&self, iters: u64, measured_s: f64) -> f64 {
+        let Some(per_spin) = self.seconds_per_spin else {
+            return measured_s;
+        };
+        let cost = iters as f64 * per_spin;
+        let _ = self
+            .charged_bits
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |bits| {
+                Some((f64::from_bits(bits) + cost).to_bits())
+            });
+        cost
     }
 }
 
@@ -810,6 +880,23 @@ mod tests {
         // interval elapses.
         assert!(e.observe_stage(t(11.0), 0, 9.0).is_none());
         assert!(e.observe_stage(t(20.6), 0, 9.0).is_some());
+    }
+
+    #[test]
+    fn virtual_clock_charges_declared_costs_and_ignores_the_host() {
+        let clock = JobClock::start(EngineClock::Virtual {
+            seconds_per_spin: 1e-6,
+        });
+        assert_eq!(clock.now(), SimTime::ZERO);
+        assert!((clock.unit_cost(1_000, 5.0) - 1e-3).abs() < 1e-15);
+        assert!((clock.unit_cost(25_000, 0.0) - 25e-3).abs() < 1e-15);
+        assert!((clock.now().as_secs() - 26e-3).abs() < 1e-12);
+        let wall = JobClock::start(EngineClock::Wall);
+        assert_eq!(
+            wall.unit_cost(1_000, 0.25),
+            0.25,
+            "the wall clock reports what it measured"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! **Adaptation** runs through the same backend-neutral
 //! [`grasp_core::engine::AdaptationEngine`] the simulated grid uses
-//! (Algorithms 1–2): farm workers report wall-clock seconds-per-work-unit
+//! (Algorithms 1–2): farm workers report seconds-per-work-unit
 //! observations, the engine compares them against the calibrated threshold
 //! *Z* every monitor interval, and its directives are applied for real —
 //! a pathological worker is demoted through the farm's
@@ -30,13 +30,17 @@
 //! ([`ThreadPipeline::with_adaptation`]).  Observations are also plumbed
 //! into a [`gridmon::MonitorRegistry`] so the same forecasters that smooth
 //! simulated load smooth wall-clock load (reported per worker in
-//! [`OutcomeDetail::ThreadFarm`]).
+//! [`OutcomeDetail::ThreadFarm`]).  The observations are wall-clock
+//! measurements unless [`BackendConfig::clock`] selects the virtual
+//! [`EngineClock`], under which each unit reports its declared spin cost;
+//! tests of adaptation decisions use it so that host scheduling noise
+//! cannot change the outcome.
 
 use crate::farm::{RankTable, SpeculationPolicy, ThreadFarm, WorkerGate};
 use crate::pipeline::ThreadPipeline;
 use grasp_core::adaptation::AdaptationLog;
 use grasp_core::config::{BackendConfig, ExecutionConfig, FaultInjection};
-use grasp_core::engine::{AdaptationDirective, AdaptationEngine, WallClock};
+use grasp_core::engine::{AdaptationDirective, AdaptationEngine, EngineClock, JobClock};
 use grasp_core::error::GraspError;
 use grasp_core::skeleton::{
     Backend, OutcomeDetail, ResilienceReport, Skeleton, SkeletonOutcome, UnitSpan,
@@ -101,6 +105,8 @@ pub struct ThreadBackend {
     /// more per unit, pool-wide or on one worker (the wall-clock analogue
     /// of gridsim's external-load spike).
     slowdown: Option<SlowdownInjection>,
+    /// The clock the farm's adaptation loop runs on.
+    clock: EngineClock,
 }
 
 /// Parameters of [`ThreadBackend::with_slowdown_injection`] /
@@ -139,6 +145,7 @@ impl ThreadBackend {
             worker_panic_budget: 3,
             inject_panics: 0,
             slowdown: None,
+            clock: EngineClock::Wall,
         }
     }
 
@@ -168,6 +175,7 @@ impl ThreadBackend {
         if let Some(budget) = cfg.worker_panic_budget {
             self.worker_panic_budget = budget;
         }
+        self.clock = cfg.clock;
         self.with_fault_injection(cfg.faults)
     }
 
@@ -282,8 +290,10 @@ impl ThreadBackend {
     }
 }
 
-/// The wall-clock driver of the shared [`AdaptationEngine`] for farm runs:
-/// workers report per-work-unit times through [`ThreadAdaptation::report`],
+/// The driver of the shared [`AdaptationEngine`] for farm runs, on the
+/// job's [`JobClock`] (wall time unless the backend was configured with a
+/// virtual clock): workers report per-work-unit times through
+/// [`ThreadAdaptation::report`],
 /// which treats the first `calib_target` observations as the Algorithm-1
 /// calibration sample (deriving *Z*), feeds later observations to the
 /// engine and the gridmon forecasters, and applies the engine's directives
@@ -291,7 +301,7 @@ impl ThreadBackend {
 /// fresh re-calibration sample.
 struct ThreadAdaptation {
     engine: Mutex<AdaptationEngine>,
-    clock: WallClock,
+    clock: JobClock,
     gate: Arc<WorkerGate>,
     /// Published per-worker calibration ranks: refreshed from the engine's
     /// live window on every monitor flush, read lock-free by the farm's
@@ -314,7 +324,7 @@ struct ThreadAdaptation {
     /// engine and registry locks are taken once per monitor interval, by
     /// whichever worker wins the `next_due_micros` race.
     buffers: Vec<Mutex<(f64, usize)>>,
-    /// Wall microseconds (on `clock`) when the next evaluation is due —
+    /// Microseconds (on `clock`) when the next evaluation is due —
     /// the hot path's lock-free gate.
     next_due_micros: AtomicU64,
     interval_micros: u64,
@@ -323,7 +333,12 @@ struct ThreadAdaptation {
 }
 
 impl ThreadAdaptation {
-    fn new(exec: &ExecutionConfig, workers: usize, calib_target: usize) -> Self {
+    fn new(
+        exec: &ExecutionConfig,
+        workers: usize,
+        calib_target: usize,
+        clock: EngineClock,
+    ) -> Self {
         ThreadAdaptation {
             // Armed with an empty reference sample: Z stays infinite until
             // the calibration prefix completes, so nothing can fire early.
@@ -332,7 +347,7 @@ impl ThreadAdaptation {
                 &[],
                 gridsim::SimTime::ZERO,
             )),
-            clock: WallClock::start(),
+            clock: JobClock::start(clock),
             gate: Arc::new(WorkerGate::new(workers)),
             ranks: Arc::new(RankTable::new(workers)),
             registry: Mutex::new(MonitorRegistry::new(NodeId(0), 64)),
@@ -349,7 +364,8 @@ impl ThreadAdaptation {
     }
 
     /// Worker-side report of one completed unit: `work` declared units took
-    /// `elapsed_s` wall seconds on worker `wid`.
+    /// `elapsed_s` seconds on worker `wid` (a cost from
+    /// [`JobClock::unit_cost`]).
     ///
     /// Hot path: one uncontended per-worker mutex plus one atomic load.
     /// Once per monitor interval a single worker flushes every buffer into
@@ -625,6 +641,7 @@ impl Backend for ThreadBackend {
                         &config.execution,
                         self.workers,
                         self.workers * samples,
+                        self.clock,
                     ))
                 });
                 let mut farm = ThreadFarm::new(self.workers)
@@ -676,7 +693,8 @@ impl Backend for ThreadBackend {
                     let t0 = std::time::Instant::now();
                     spin(iters);
                     if let Some(driver) = &adaptation {
-                        driver.report(wid, work, t0.elapsed().as_secs_f64(), job_has_work);
+                        let cost = driver.clock.unit_cost(iters, t0.elapsed().as_secs_f64());
+                        driver.report(wid, work, cost, job_has_work);
                     }
                     (id, run_start.elapsed().as_secs_f64())
                 })?;

@@ -704,11 +704,10 @@ impl ThreadFarm {
                     // preserve progress.  A worker never retires while
                     // retries are pending: it may be the only worker still
                     // looping, and a requeued task must not be stranded.
-                    let should_retire = || {
-                        stats[wid].panics.load(Ordering::Relaxed) > panic_budget
-                            && queue.lock().retries.is_empty()
+                    let try_leave = || {
+                        queue.lock().retries.is_empty()
                             && active_workers
-                                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
+                                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |a| {
                                     if a > 1 {
                                         Some(a - 1)
                                     } else {
@@ -717,6 +716,8 @@ impl ThreadFarm {
                                 })
                                 .is_ok()
                     };
+                    let should_retire =
+                        || stats[wid].panics.load(Ordering::Relaxed) > panic_budget && try_leave();
                     let retire = |retired: &mut bool| {
                         workers_lost.fetch_add(1, Ordering::Relaxed);
                         // Tell the gate (when present) so the adaptation
@@ -737,20 +738,37 @@ impl ThreadFarm {
                     // on the slow paths (retries, reclaimed ranges, faults).
                     if let Some(deques) = steal_deques {
                         let my_deque = &deques[wid];
-                        // Drain our own deque back into circulation (used on
-                        // demotion and retirement, so `conserves_units_of`
-                        // holds even when a worker leaves mid-partition).
-                        // The pending counter is bumped BEFORE the drain: a
-                        // peer that later sees this deque empty is thereby
-                        // guaranteed to also see the counter, so its
-                        // termination scan cannot strand the range.
-                        let drain_to_reclaimed = || {
+                        // Leave the pool (demotion or retirement) and drain
+                        // our own deque back into circulation, so
+                        // `conserves_units_of` holds even when a worker
+                        // leaves mid-partition.  The pending counter is
+                        // bumped BEFORE `try_leave` takes us off
+                        // `active_workers`, and an idle peer leaves
+                        // `active_workers` BEFORE its last look at the
+                        // counter (see the steal loop's exit arm).  So
+                        // either the peer sees the drain coming and stays
+                        // to run it, or `try_leave` sees the peer gone
+                        // and, as the last worker pulling, we keep our
+                        // range.
+                        let leave_with_drain = || {
                             reclaimed_pending.fetch_add(1, Ordering::SeqCst);
+                            if !try_leave() {
+                                reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
+                                return false;
+                            }
                             match my_deque.drain_all() {
                                 Some(range) => queue.lock().reclaimed.push_back(range),
                                 None => {
                                     reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
                                 }
+                            }
+                            true
+                        };
+                        let retire_if_due = |retired: &mut bool| {
+                            if stats[wid].panics.load(Ordering::Relaxed) > panic_budget
+                                && leave_with_drain()
+                            {
+                                retire(retired);
                             }
                         };
                         // Rank weight: prefer the engine's published
@@ -799,9 +817,8 @@ impl ThreadFarm {
                             if !exec_task(idx, 0) {
                                 break;
                             }
-                            if should_retire() {
-                                drain_to_reclaimed();
-                                retire(&mut retired);
+                            retire_if_due(&mut retired);
+                            if retired {
                                 break;
                             }
                         }
@@ -826,18 +843,8 @@ impl ThreadFarm {
                             // circulation first, under the same progress
                             // guards as the demand-driven loop.
                             if gate.map(|g| g.is_demoted(wid)).unwrap_or(false)
-                                && queue.lock().retries.is_empty()
-                                && active_workers
-                                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
-                                        if a > 1 {
-                                            Some(a - 1)
-                                        } else {
-                                            None
-                                        }
-                                    })
-                                    .is_ok()
+                                && leave_with_drain()
                             {
-                                drain_to_reclaimed();
                                 workers_demoted.fetch_add(1, Ordering::Relaxed);
                                 break;
                             }
@@ -876,10 +883,7 @@ impl ThreadFarm {
                                         if !exec_task(index, attempt) {
                                             break;
                                         }
-                                        if should_retire() {
-                                            drain_to_reclaimed();
-                                            retire(&mut retired);
-                                        }
+                                        retire_if_due(&mut retired);
                                         continue;
                                     }
                                     Slow::Range { start, count } => {
@@ -888,10 +892,7 @@ impl ThreadFarm {
                                                 break 'steal;
                                             }
                                         }
-                                        if should_retire() {
-                                            drain_to_reclaimed();
-                                            retire(&mut retired);
-                                        }
+                                        retire_if_due(&mut retired);
                                         continue;
                                     }
                                     Slow::Nothing => {}
@@ -913,10 +914,7 @@ impl ThreadFarm {
                                             break 'steal;
                                         }
                                     }
-                                    if should_retire() {
-                                        drain_to_reclaimed();
-                                        retire(&mut retired);
-                                    }
+                                    retire_if_due(&mut retired);
                                     continue;
                                 }
                             }
@@ -961,10 +959,7 @@ impl ThreadFarm {
                                                 break 'steal;
                                             }
                                         }
-                                        if should_retire() {
-                                            drain_to_reclaimed();
-                                            retire(&mut retired);
-                                        }
+                                        retire_if_due(&mut retired);
                                     }
                                     // A lost race (the victim drained its own
                                     // deque first) just rescans.
@@ -979,11 +974,21 @@ impl ThreadFarm {
                                     // that panics later is requeued and
                                     // finished by the panicking worker
                                     // itself, which cannot be past this exit.
-                                    if my_deque.is_empty()
-                                        && retries_pending.load(Ordering::SeqCst) == 0
-                                        && reclaimed_pending.load(Ordering::SeqCst) == 0
-                                    {
-                                        break;
+                                    // A peer still holding a lone unstealable
+                                    // task may yet leave and drain it, so we
+                                    // leave `active_workers` first and look
+                                    // once more (see `leave_with_drain`).
+                                    let idle = || {
+                                        my_deque.is_empty()
+                                            && retries_pending.load(Ordering::SeqCst) == 0
+                                            && reclaimed_pending.load(Ordering::SeqCst) == 0
+                                    };
+                                    if idle() {
+                                        active_workers.fetch_sub(1, Ordering::SeqCst);
+                                        if idle() {
+                                            break;
+                                        }
+                                        active_workers.fetch_add(1, Ordering::SeqCst);
                                     }
                                     std::hint::spin_loop();
                                 }
@@ -1028,18 +1033,7 @@ impl ThreadFarm {
                         // panic retirement: never while retries are pending,
                         // never as the last active worker.  Its completed
                         // work stands; the queue reroutes the rest.
-                        if gate.map(|g| g.is_demoted(wid)).unwrap_or(false)
-                            && queue.lock().retries.is_empty()
-                            && active_workers
-                                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
-                                    if a > 1 {
-                                        Some(a - 1)
-                                    } else {
-                                        None
-                                    }
-                                })
-                                .is_ok()
-                        {
+                        if gate.map(|g| g.is_demoted(wid)).unwrap_or(false) && try_leave() {
                             workers_demoted.fetch_add(1, Ordering::Relaxed);
                             break;
                         }

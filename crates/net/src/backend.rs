@@ -1409,8 +1409,10 @@ fn greet(
             });
         }
         None => {
-            let _ = sink.send(&WireMsg::Shutdown);
+            // Counted before the worker hears it: once a refused worker
+            // has its Shutdown, the master's tally already includes it.
             let _ = tx.send(Event::Rejected);
+            let _ = sink.send(&WireMsg::Shutdown);
         }
     }
 }

@@ -51,7 +51,7 @@ pub mod loopback;
 pub mod worker;
 
 pub use backend::NetBackend;
-pub use loopback::{FaultScript, FrameFault, LoopbackNet};
+pub use loopback::{FaultScript, FrameFault, FrameGate, LoopbackNet};
 
 use std::path::PathBuf;
 

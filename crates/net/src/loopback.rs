@@ -15,14 +15,27 @@
 //! exactly the bytes a broken network would have delivered, and the
 //! receiving side runs the same framing code as TCP, so truncation is
 //! detected by the real decoder, not simulated.
+//!
+//! Frame indices fix the order of events on one connection; a
+//! [`FrameGate`] fixes it across connections.  One connection's script
+//! opens the gate when it reaches a frame ([`FaultScript::open_at`]), and
+//! another's holds a frame until the gate is open
+//! ([`FaultScript::hold_until`]).  A test can thereby keep a fast worker
+//! from finishing the job before a slower connection reaches the event the
+//! test is about, without relying on timing.
 
 use grasp_core::error::GraspError;
 use grasp_core::transport::{Acceptor, FrameSink, FrameSource, FramedConnection};
 use grasp_core::wire::{FrameView, WireMsg, MAX_FRAME_PAYLOAD};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// How long a held frame waits for its gate.  A gate that never opens
+/// means the scripted scenario went wrong; the frame then goes out anyway,
+/// so the test fails on its own assertions instead of hanging.
+const GATE_LIMIT: Duration = Duration::from_secs(30);
 
 /// What to do to a single outbound frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +56,46 @@ pub enum FrameFault {
     CloseBefore,
 }
 
+/// A one-shot latch that orders frames across connections (see the module
+/// docs).  Clones share one latch; once open it stays open.
+#[derive(Debug, Clone, Default)]
+pub struct FrameGate {
+    state: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl FrameGate {
+    /// A closed gate.
+    pub fn new() -> Self {
+        FrameGate::default()
+    }
+
+    /// Open the gate and release every frame held on it.
+    pub fn open(&self) {
+        let (open, changed) = &*self.state;
+        *open.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        changed.notify_all();
+    }
+
+    /// Block until the gate is open or `limit` has passed; returns whether
+    /// it opened.
+    pub fn wait(&self, limit: Duration) -> bool {
+        let (open, changed) = &*self.state;
+        let guard = open.lock().unwrap_or_else(|e| e.into_inner());
+        let (guard, _) = changed
+            .wait_timeout_while(guard, limit, |open| !*open)
+            .unwrap_or_else(|e| e.into_inner());
+        *guard
+    }
+}
+
 /// A per-direction schedule mapping outbound frame index (0-based) to the
-/// fault applied to that frame.  Unscripted frames pass through untouched.
+/// fault applied to that frame, plus the gates the frame waits for or
+/// opens.  Unscripted frames pass through untouched.
 #[derive(Debug, Clone, Default)]
 pub struct FaultScript {
     faults: BTreeMap<usize, FrameFault>,
+    holds: BTreeMap<usize, Vec<FrameGate>>,
+    opens: BTreeMap<usize, Vec<FrameGate>>,
 }
 
 impl FaultScript {
@@ -59,6 +107,20 @@ impl FaultScript {
     /// Schedule `fault` for the `frame`-th outbound frame (builder-style).
     pub fn with(mut self, frame: usize, fault: FrameFault) -> Self {
         self.faults.insert(frame, fault);
+        self
+    }
+
+    /// Hold the `frame`-th outbound frame until `gate` is open.  A frame
+    /// may wait for several gates.
+    pub fn hold_until(mut self, frame: usize, gate: &FrameGate) -> Self {
+        self.holds.entry(frame).or_default().push(gate.clone());
+        self
+    }
+
+    /// Open `gate` once the `frame`-th outbound frame has been handled:
+    /// delivered, dropped, or cut by its scripted fault.
+    pub fn open_at(mut self, frame: usize, gate: &FrameGate) -> Self {
+        self.opens.entry(frame).or_default().push(gate.clone());
         self
     }
 
@@ -110,23 +172,9 @@ impl LoopbackSink {
         self.dead.store(true, Ordering::SeqCst);
         self.tx = None;
     }
-}
 
-impl FrameSink for LoopbackSink {
-    fn send(&mut self, msg: &WireMsg) -> Result<usize, GraspError> {
-        let mut frame = std::mem::take(&mut self.frame);
-        msg.encode_into(&mut frame);
-        let sent = self.send_frame(&frame);
-        self.frame = frame;
-        sent
-    }
-
-    fn send_frame(&mut self, frame: &[u8]) -> Result<usize, GraspError> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(link_down("connection was hard-closed"));
-        }
-        let idx = self.next_frame;
-        self.next_frame += 1;
+    /// Send outbound frame `idx` through its scripted fault.
+    fn apply_fault(&mut self, idx: usize, frame: &[u8]) -> Result<usize, GraspError> {
         let n = frame.len();
         match self.script.get(idx) {
             FrameFault::Pass => {
@@ -158,6 +206,32 @@ impl FrameSink for LoopbackSink {
             }
         }
         Ok(n)
+    }
+}
+
+impl FrameSink for LoopbackSink {
+    fn send(&mut self, msg: &WireMsg) -> Result<usize, GraspError> {
+        let mut frame = std::mem::take(&mut self.frame);
+        msg.encode_into(&mut frame);
+        let sent = self.send_frame(&frame);
+        self.frame = frame;
+        sent
+    }
+
+    fn send_frame(&mut self, frame: &[u8]) -> Result<usize, GraspError> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(link_down("connection was hard-closed"));
+        }
+        let idx = self.next_frame;
+        self.next_frame += 1;
+        for gate in self.script.holds.get(&idx).into_iter().flatten() {
+            gate.wait(GATE_LIMIT);
+        }
+        let sent = self.apply_fault(idx, frame);
+        for gate in self.script.opens.get(&idx).into_iter().flatten() {
+            gate.open();
+        }
+        sent
     }
 
     fn set_copy_counter(&mut self, counter: Arc<AtomicU64>) {
@@ -449,6 +523,42 @@ mod tests {
         assert_eq!(master.recv().unwrap(), None);
         // The hard close also kills the master->worker direction.
         assert!(master.send(&WireMsg::Shutdown).is_err());
+    }
+
+    #[test]
+    fn a_held_frame_waits_for_the_frame_that_opens_its_gate() {
+        let gate = FrameGate::new();
+        let (mut slow, mut slow_master) =
+            faulty_pair(FaultScript::clean().open_at(1, &gate), FaultScript::clean());
+        let (mut fast, mut fast_master) = faulty_pair(
+            FaultScript::clean().hold_until(0, &gate),
+            FaultScript::clean(),
+        );
+        let held = std::thread::spawn(move || {
+            fast.send(&WireMsg::Shutdown).unwrap();
+            fast
+        });
+        slow.send(&WireMsg::Heartbeat).unwrap();
+        assert!(
+            !gate.wait(Duration::from_millis(20)),
+            "frame 0 opens nothing"
+        );
+        slow.send(&WireMsg::Shutdown).unwrap();
+        let _fast = held.join().unwrap();
+        assert_eq!(slow_master.recv().unwrap(), Some(WireMsg::Heartbeat));
+        assert_eq!(slow_master.recv().unwrap(), Some(WireMsg::Shutdown));
+        assert_eq!(fast_master.recv().unwrap(), Some(WireMsg::Shutdown));
+    }
+
+    #[test]
+    fn a_fault_that_cuts_the_link_still_opens_its_gate() {
+        let gate = FrameGate::new();
+        let script = FaultScript::clean()
+            .with(0, FrameFault::CloseBefore)
+            .open_at(0, &gate);
+        let (mut worker, _master) = faulty_pair(script, FaultScript::clean());
+        assert!(worker.send(&WireMsg::Heartbeat).is_err());
+        assert!(gate.wait(Duration::ZERO));
     }
 
     #[test]

@@ -239,37 +239,34 @@ fn injected_slowdown_worker_is_demoted_through_the_shared_engine() {
     // The acceptance check of the backend-neutral adaptation engine: the
     // SAME monitor→threshold→recalibrate loop that steers the simulated
     // grid runs on real threads.  Worker 0 slows down 25x mid-run (after
-    // the calibration prefix); its wall-clock per-work-unit times breach
+    // the calibration prefix); its per-work-unit times breach
     // `demote_factor x Z`, the engine emits a demote directive, and the
     // backend applies it through the farm's worker gate — visible as a
     // `NodeDemoted` entry in the backend-neutral adaptation log, after
     // which the demoted worker stops absorbing work.
+    //
+    // The loop runs on the virtual clock: each unit reports its declared
+    // spin cost, so worker 0 reports exactly 25x the healthy time and no
+    // healthy worker can breach, however the host schedules the threads.
+    // The slowed spin is still real, so worker 0 really is slower.
+    // Self-scheduling keeps at most one unit in flight on the slow worker.
     use grasp_repro::grasp_core::adaptation::AdaptationAction;
     use grasp_repro::gridsim::NodeId;
 
-    // Tuning for robustness on noisy, oversubscribed machines.  Three
-    // constraints pin the numbers: the slowed worker's unit time must stay
-    // well under the monitor interval (so it reports into nearly every
-    // evaluation window — otherwise evaluations without worker-0
-    // observations can hand the demotion slots to noisy healthy workers);
-    // the 25x factor must dwarf `demote_factor x threshold_factor` (6x)
-    // even when CPU contention skews wall-clock ratios a few x; and the
-    // run must span many intervals so a late demotion still lands.
-    // Self-scheduling keeps at most one unit in flight on the slow worker,
-    // and `min_active_nodes = 1` guarantees a demotion slot remains even if
-    // scheduler noise demotes a healthy worker spuriously (the gate itself
-    // keeps the last active worker running).
     let skeleton = Skeleton::farm(TaskSpec::uniform(3000, 1.0, 0, 0));
     let backend = ThreadBackend::new(4).with_config(
         BackendConfig::new()
             .spin_per_work_unit(30_000)
-            .faults(FaultInjection::none().worker_slowdown(0, 8, 25.0)),
+            .faults(FaultInjection::none().worker_slowdown(0, 8, 25.0))
+            .clock(EngineClock::Virtual {
+                seconds_per_spin: 1e-9,
+            }),
     );
     let mut cfg = GraspConfig {
         scheduler: SchedulePolicy::SelfScheduling,
         ..GraspConfig::default()
     };
-    cfg.execution.monitor_interval_s = 3e-3; // wall seconds
+    cfg.execution.monitor_interval_s = 3e-3; // virtual seconds: 100 healthy units
     cfg.execution.min_active_nodes = 1;
     let report = Grasp::new(cfg)
         .run(&backend, &skeleton)

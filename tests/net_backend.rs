@@ -11,7 +11,7 @@ use grasp_repro::grasp_core::prelude::*;
 use grasp_repro::grasp_core::transport::Acceptor;
 use grasp_repro::grasp_exec::ThreadBackend;
 use grasp_repro::grasp_net::worker::{run_connection, WorkerOptions};
-use grasp_repro::grasp_net::{FaultScript, FrameFault, LoopbackNet, NetBackend};
+use grasp_repro::grasp_net::{FaultScript, FrameFault, FrameGate, LoopbackNet, NetBackend};
 use grasp_repro::grasp_proc::ProcBackend;
 use grasp_repro::grasp_workloads::matmul::MatMulJob;
 use std::collections::BTreeSet;
@@ -98,17 +98,50 @@ fn a_worker_joining_mid_run_calibrates_before_real_units() {
     // founders are already executing.  It is parked until the scripted join
     // point, admitted mid-run, ranked by a calibration prefix of probe
     // units, and only then trusted with real units.
+    //
+    // Gates pin the order.  The joiner connects only once a founder has
+    // sent its first Done (dispatch has begun).  Each founder holds its
+    // third Done (frame 3) until the joiner has sent its first real Done
+    // (frame 4, after Join and three probe Dones).  So the founders deliver
+    // exactly the four results the join point waits for, and the job
+    // cannot finish without the joiner.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 2)
         .with_hold_joins_until(4)
         .with_join_calibration_units(3);
-    let workers: Vec<_> = (0..3)
-        .map(|_| spawn_worker(&net, WorkerOptions::default()))
-        .collect();
+    let dispatching = FrameGate::new();
+    let joiner_served = FrameGate::new();
+    let founder_script = FaultScript::clean().hold_until(3, &joiner_served);
+    let mut workers = vec![
+        spawn_faulty_worker(
+            &net,
+            WorkerOptions::default(),
+            founder_script.clone().open_at(1, &dispatching),
+            FaultScript::clean(),
+        ),
+        spawn_faulty_worker(
+            &net,
+            WorkerOptions::default(),
+            founder_script,
+            FaultScript::clean(),
+        ),
+    ];
     let skeleton = Skeleton::farm(TaskSpec::uniform(60, 1.0, 0, 0));
-    let report = Grasp::new(GraspConfig::default())
-        .run(&backend, &skeleton)
-        .expect("mid-run join run failed");
+    let report = std::thread::scope(|scope| {
+        let run = scope.spawn(|| Grasp::new(GraspConfig::default()).run(&backend, &skeleton));
+        assert!(
+            dispatching.wait(std::time::Duration::from_secs(30)),
+            "the founders never started"
+        );
+        workers.push(spawn_faulty_worker(
+            &net,
+            WorkerOptions::default(),
+            FaultScript::clean().open_at(4, &joiner_served),
+            FaultScript::clean(),
+        ));
+        run.join().unwrap()
+    })
+    .expect("mid-run join run failed");
     assert_eq!(report.outcome.completed, 60);
     assert!(report.outcome.conserves_units_of(&skeleton));
     assert!(report.outcome.resilience.is_clean());
@@ -149,13 +182,23 @@ fn a_worker_dying_between_frames_with_units_in_flight_is_a_requeued_death() {
     // per served task.  Killing the link *before* frame 3 (the third Done)
     // is a crash between writes: the master sees a clean EOF while the
     // worker still owes its outstanding window.
+    // The healthy worker holds its first Done until the victim has died,
+    // so it cannot finish the job before the victim reaches frame 3.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 2);
-    let healthy = spawn_worker(&net, WorkerOptions::default());
+    let victim_died = FrameGate::new();
+    let healthy = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        FaultScript::clean().hold_until(1, &victim_died),
+        FaultScript::clean(),
+    );
     let victim = spawn_faulty_worker(
         &net,
         WorkerOptions::default(),
-        FaultScript::clean().with(3, FrameFault::CloseBefore),
+        FaultScript::clean()
+            .with(3, FrameFault::CloseBefore)
+            .open_at(3, &victim_died),
         FaultScript::clean(),
     );
     let skeleton = Skeleton::farm(TaskSpec::uniform(30, 1.0, 0, 0));
@@ -216,15 +259,29 @@ fn a_graceful_goodbye_drains_the_window_and_loses_nothing() {
     // A worker announces Goodbye after two tasks.  The master stops handing
     // it new units, lets its outstanding window drain, and releases it with
     // Shutdown: no loss, no requeue, membership recorded as graceful.
+    //
+    // The stayer holds its first Done until the leaver has sent the first
+    // Done after its Goodbye (frame 4; frames 1-2 are Dones, frame 3 the
+    // Goodbye).  That unit was a refill, handed out while the stayer was
+    // still held, and the master reads the Goodbye before its result, so
+    // the job cannot finish before the leave is seen.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 2);
-    let stayer = spawn_worker(&net, WorkerOptions::default());
-    let leaver = spawn_worker(
+    let served_after_goodbye = FrameGate::new();
+    let stayer = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        FaultScript::clean().hold_until(1, &served_after_goodbye),
+        FaultScript::clean(),
+    );
+    let leaver = spawn_faulty_worker(
         &net,
         WorkerOptions {
             leave_after: Some(2),
             ..WorkerOptions::default()
         },
+        FaultScript::clean().open_at(4, &served_after_goodbye),
+        FaultScript::clean(),
     );
     let skeleton = Skeleton::farm(TaskSpec::uniform(30, 1.0, 0, 0));
     let report = Grasp::new(GraspConfig::default())
@@ -261,22 +318,39 @@ fn a_graceful_goodbye_drains_the_window_and_loses_nothing() {
 
 #[test]
 fn handshake_rejects_wrong_versions_and_missing_capabilities() {
+    // The master counts a refusal before it sends the refused worker its
+    // Shutdown (frame 0 towards that worker).  The good worker holds its
+    // first Done until both Shutdowns are out, so both refusals are counted
+    // before the job can finish.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 1);
-    let good = spawn_worker(&net, WorkerOptions::default());
-    let wrong_version = spawn_worker(
+    let refused_version = FrameGate::new();
+    let refused_caps = FrameGate::new();
+    let good = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        FaultScript::clean()
+            .hold_until(1, &refused_version)
+            .hold_until(1, &refused_caps),
+        FaultScript::clean(),
+    );
+    let wrong_version = spawn_faulty_worker(
         &net,
         WorkerOptions {
             wire_version: 9999,
             ..WorkerOptions::default()
         },
+        FaultScript::clean(),
+        FaultScript::clean().open_at(0, &refused_version),
     );
-    let no_caps = spawn_worker(
+    let no_caps = spawn_faulty_worker(
         &net,
         WorkerOptions {
             capabilities: 0,
             ..WorkerOptions::default()
         },
+        FaultScript::clean(),
+        FaultScript::clean().open_at(0, &refused_caps),
     );
     let skeleton = Skeleton::farm(TaskSpec::uniform(12, 1.0, 0, 0));
     let report = Grasp::new(GraspConfig::default())
