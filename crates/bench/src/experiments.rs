@@ -626,9 +626,10 @@ pub fn e10_churn(
 /// compares the two regimes on identical workloads: the full-adaptive run
 /// must show the demotion in its adaptation log, and the slowed worker
 /// should absorb fewer units (it is cut off instead of trickling on).
-/// The adaptation loop runs on the virtual [`EngineClock`]: each unit
-/// reports its declared spin cost, so the demotion decision is the same on
-/// every host, while the slowed spin (and so the makespan) stays real.
+/// The adaptation loop runs on the virtual clock
+/// ([`ThreadBackend::with_virtual_clock`]): each unit reports its declared
+/// spin cost, so the demotion decision is the same on every host, while the
+/// slowed spin (and so the makespan) stays real.
 pub fn e11_thread_slowdown(tasks_n: usize, slow_factor: f64) -> Table {
     let mut table = Table::new(
         format!("E11: thread farm under a {slow_factor}x worker-0 slowdown ({tasks_n} units)"),
@@ -644,20 +645,19 @@ pub fn e11_thread_slowdown(tasks_n: usize, slow_factor: f64) -> Table {
     );
     let skeleton = Skeleton::farm(TaskSpec::uniform(tasks_n, 1.0, 0, 0));
     let run = |engine_on: bool| {
-        let backend = ThreadBackend::new(4).with_config(
-            BackendConfig::new()
-                .spin_per_work_unit(30_000)
-                .faults(FaultInjection::none().worker_slowdown(0, 8, slow_factor))
-                .clock(EngineClock::Virtual {
-                    seconds_per_spin: 1e-9,
-                }),
-        );
+        let backend = ThreadBackend::new(4)
+            .with_config(
+                BackendConfig::new()
+                    .spin_per_work_unit(30_000)
+                    .faults(FaultInjection::none().worker_slowdown(0, 8, slow_factor)),
+            )
+            .with_virtual_clock();
         let mut cfg = GraspConfig {
             scheduler: SchedulePolicy::SelfScheduling,
             ..GraspConfig::default()
         };
         cfg.execution.adaptive = engine_on;
-        cfg.execution.monitor_interval_s = 3e-3; // virtual seconds: 100 healthy units
+        cfg.execution.monitor_interval_s = 3e6; // spin iterations: 100 healthy units
         cfg.execution.min_active_nodes = 1;
         Grasp::new(cfg)
             .run(&backend, &skeleton)

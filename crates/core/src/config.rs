@@ -5,7 +5,6 @@
 //! the experiment harness can sweep it.
 
 use crate::calibration::CalibrationMode;
-use crate::engine::EngineClock;
 use crate::error::GraspError;
 use crate::scheduler::SchedulePolicy;
 use crate::threshold::ThresholdPolicy;
@@ -254,10 +253,6 @@ pub struct BackendConfig {
     pub worker_panic_budget: Option<usize>,
     /// The fault-injection plan (defaults to no injected faults).
     pub faults: FaultInjection,
-    /// The clock the thread farm's adaptation loop runs on (defaults to the
-    /// wall clock).  The process and socket backends time units on their
-    /// workers and ignore it.
-    pub clock: EngineClock,
 }
 
 impl BackendConfig {
@@ -308,12 +303,6 @@ impl BackendConfig {
         self.faults = faults;
         self
     }
-
-    /// Run the adaptation loop on `clock` (see [`EngineClock`]).
-    pub fn clock(mut self, clock: EngineClock) -> Self {
-        self.clock = clock;
-        self
-    }
 }
 
 /// A typed fault-injection plan, shared by every backend.
@@ -337,7 +326,7 @@ pub struct FaultInjection {
     /// behind the demotion, stealing, and speculation experiments).
     pub slowdown: Option<SlowdownSpec>,
     /// Net backend: grow the pool mid-run by spawning extra workers once
-    /// enough results are in.
+    /// enough results are in; the rest of the job waits for them.
     pub join_spawn: Option<JoinSpawnSpec>,
 }
 
@@ -363,7 +352,8 @@ pub struct SlowdownSpec {
     pub factor: f64,
 }
 
-/// Spawn `extra` additional workers once `after_results` units completed.
+/// Spawn `extra` additional workers once `after_results` units completed,
+/// and hold the remaining units until they have joined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinSpawnSpec {
     /// Pool-wide completed units before the spawns.
@@ -528,7 +518,6 @@ mod tests {
         assert_eq!(cfg.max_task_attempts, None);
         assert_eq!(cfg.worker_bin, None);
         assert!(cfg.faults.is_empty());
-        assert_eq!(cfg.clock, EngineClock::Wall);
     }
 
     #[test]

@@ -89,15 +89,13 @@ pub enum EngineClock {
     /// delivered, scheduler noise included.
     #[default]
     Wall,
-    /// Declared time, for reproducible adaptation decisions: a unit of
-    /// `iters` spin iterations costs `iters × seconds_per_spin` seconds
-    /// whatever the host did, and the monitor's clock reads the total cost
-    /// charged so far.  A decision then depends on what ran, not on how
-    /// the host happened to schedule it.
-    Virtual {
-        /// Declared seconds per spin-kernel iteration.
-        seconds_per_spin: f64,
-    },
+    /// Declared time, for reproducible adaptation decisions: one spin
+    /// iteration costs one virtual second, so a unit of `iters` iterations
+    /// costs `iters` seconds whatever the host did, and the monitor's clock
+    /// reads the total cost charged so far.  A decision then depends on
+    /// what ran, not on how the host happened to schedule it; time-valued
+    /// settings such as `monitor_interval_s` are read in spin iterations.
+    Virtual,
 }
 
 /// One job's running [`EngineClock`]: the stamps the engine sees and the
@@ -105,8 +103,7 @@ pub enum EngineClock {
 #[derive(Debug)]
 pub struct JobClock {
     wall: WallClock,
-    /// `Some(seconds_per_spin)` on the virtual clock.
-    seconds_per_spin: Option<f64>,
+    kind: EngineClock,
     /// Virtual seconds charged so far, as `f64` bits.
     charged_bits: AtomicU64,
 }
@@ -116,10 +113,7 @@ impl JobClock {
     pub fn start(kind: EngineClock) -> Self {
         JobClock {
             wall: WallClock::start(),
-            seconds_per_spin: match kind {
-                EngineClock::Wall => None,
-                EngineClock::Virtual { seconds_per_spin } => Some(seconds_per_spin.max(0.0)),
-            },
+            kind,
             charged_bits: AtomicU64::new(0.0f64.to_bits()),
         }
     }
@@ -127,9 +121,11 @@ impl JobClock {
     /// The current stamp: seconds since the start on the wall clock, the
     /// total charged cost on the virtual one.
     pub fn now(&self) -> SimTime {
-        match self.seconds_per_spin {
-            None => self.wall.now(),
-            Some(_) => SimTime::new(f64::from_bits(self.charged_bits.load(Ordering::Acquire))),
+        match self.kind {
+            EngineClock::Wall => self.wall.now(),
+            EngineClock::Virtual => {
+                SimTime::new(f64::from_bits(self.charged_bits.load(Ordering::Acquire)))
+            }
         }
     }
 
@@ -138,10 +134,10 @@ impl JobClock {
     /// reports the measurement; the virtual clock charges and reports the
     /// declared cost.
     pub fn unit_cost(&self, iters: u64, measured_s: f64) -> f64 {
-        let Some(per_spin) = self.seconds_per_spin else {
+        if self.kind == EngineClock::Wall {
             return measured_s;
-        };
-        let cost = iters as f64 * per_spin;
+        }
+        let cost = iters as f64;
         let _ = self
             .charged_bits
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |bits| {
@@ -884,13 +880,11 @@ mod tests {
 
     #[test]
     fn virtual_clock_charges_declared_costs_and_ignores_the_host() {
-        let clock = JobClock::start(EngineClock::Virtual {
-            seconds_per_spin: 1e-6,
-        });
+        let clock = JobClock::start(EngineClock::Virtual);
         assert_eq!(clock.now(), SimTime::ZERO);
-        assert!((clock.unit_cost(1_000, 5.0) - 1e-3).abs() < 1e-15);
-        assert!((clock.unit_cost(25_000, 0.0) - 25e-3).abs() < 1e-15);
-        assert!((clock.now().as_secs() - 26e-3).abs() < 1e-12);
+        assert_eq!(clock.unit_cost(1_000, 5.0), 1_000.0);
+        assert_eq!(clock.unit_cost(25_000, 0.0), 25_000.0);
+        assert_eq!(clock.now().as_secs(), 26_000.0);
         let wall = JobClock::start(EngineClock::Wall);
         assert_eq!(
             wall.unit_cost(1_000, 0.25),

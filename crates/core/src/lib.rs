@@ -84,9 +84,7 @@ pub mod prelude {
     pub use crate::config::{
         BackendConfig, CalibrationConfig, ExecutionConfig, FaultInjection, GraspConfig,
     };
-    pub use crate::engine::{
-        AdaptationDirective, AdaptationEngine, EngineClock, EnginePoll, JobClock, WallClock,
-    };
+    pub use crate::engine::{AdaptationDirective, AdaptationEngine, EnginePoll, WallClock};
     pub use crate::error::GraspError;
     pub use crate::execution::ExecutionMonitor;
     pub use crate::farm::{FarmOutcome, TaskFarm};

@@ -31,9 +31,9 @@
 //! into a [`gridmon::MonitorRegistry`] so the same forecasters that smooth
 //! simulated load smooth wall-clock load (reported per worker in
 //! [`OutcomeDetail::ThreadFarm`]).  The observations are wall-clock
-//! measurements unless [`BackendConfig::clock`] selects the virtual
-//! [`EngineClock`], under which each unit reports its declared spin cost;
-//! tests of adaptation decisions use it so that host scheduling noise
+//! measurements unless [`ThreadBackend::with_virtual_clock`] selects the
+//! virtual [`EngineClock`], under which each unit reports its declared spin
+//! cost; tests of adaptation decisions use it so that host scheduling noise
 //! cannot change the outcome.
 
 use crate::farm::{RankTable, SpeculationPolicy, ThreadFarm, WorkerGate};
@@ -175,7 +175,6 @@ impl ThreadBackend {
         if let Some(budget) = cfg.worker_panic_budget {
             self.worker_panic_budget = budget;
         }
-        self.clock = cfg.clock;
         self.with_fault_injection(cfg.faults)
     }
 
@@ -193,6 +192,17 @@ impl ThreadBackend {
             factor: s.factor.max(1.0),
             worker: s.worker,
         });
+        self
+    }
+
+    /// Run farm adaptation on the virtual [`EngineClock`]: each unit
+    /// reports its declared spin cost (one virtual second per spin
+    /// iteration, injected slowdown included) instead of its measured wall
+    /// time, so `monitor_interval_s` is read in spin iterations.  The spin
+    /// itself stays real.  For tests and experiments whose adaptation
+    /// decisions must not depend on how the host schedules the threads.
+    pub fn with_virtual_clock(mut self) -> Self {
+        self.clock = EngineClock::Virtual;
         self
     }
 

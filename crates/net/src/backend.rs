@@ -211,8 +211,10 @@ impl NetBackend {
     /// configured injection outright.  Sockets realise `kill` as a mid-run
     /// SIGKILL of the member's process (TCP mode) and `join_spawn` as the
     /// dynamic-membership driver (spawn extra workers once `after_results`
-    /// units completed); `panics` and `slowdown` have no socket-master
-    /// analogue and are ignored.
+    /// units completed, then withhold real units until they are through
+    /// their calibration prefix, so the join always lands mid-run);
+    /// `panics` and `slowdown` have no socket-master analogue and are
+    /// ignored.
     pub fn with_fault_injection(mut self, faults: FaultInjection) -> Self {
         self.kill_injection = faults.kill.map(|k| (k.worker, k.after_results));
         self.join_spawn = faults.join_spawn.map(|j| (j.after_results, j.extra.max(1)));
@@ -267,7 +269,8 @@ impl NetBackend {
     }
 
     /// Override how long the master waits for the first `wait_for`
-    /// registrations before failing the run.
+    /// registrations before failing the run, and for `join_spawn` joiners
+    /// before it resumes without them.
     pub fn with_join_timeout(mut self, timeout_s: f64) -> Self {
         self.join_timeout_s = timeout_s.max(1e-3);
         self
@@ -292,7 +295,9 @@ impl NetBackend {
 
     /// Grow the pool mid-run (TCP mode): once `after_results` units have
     /// completed, spawn `extra` additional worker processes; each joins
-    /// through the full handshake + calibration-prefix path.
+    /// through the full handshake + calibration-prefix path, and real units
+    /// are withheld until every joiner is through it (or the join timeout
+    /// runs out).
     #[deprecated(
         note = "use with_fault_injection(FaultInjection::none().join_spawn(after_results, extra))"
     )]
@@ -614,6 +619,11 @@ struct NetMaster<'a> {
     bytes_received: Arc<AtomicU64>,
     kill_injection: Option<(usize, usize)>,
     join_spawn: Option<(usize, usize)>,
+    /// Set once `join_spawn` fired: `(joiners owed, deadline_s)`.  Real
+    /// units are withheld until that many mid-run joiners have passed
+    /// their calibration prefix or the deadline passes, so a scripted
+    /// joiner always finds work left whatever the spawn costs.
+    join_hold: Option<(usize, f64)>,
     worker_bin: Option<PathBuf>,
     /// Spawned processes that have not yet completed the handshake
     /// (claimed by pid at admission).
@@ -693,6 +703,7 @@ impl<'a> NetMaster<'a> {
             bytes_received: Arc::new(AtomicU64::new(0)),
             kill_injection: backend.kill_injection,
             join_spawn: backend.join_spawn,
+            join_hold: None,
             worker_bin: compiled.worker_bin.clone(),
             unclaimed_children: Vec::new(),
         };
@@ -892,11 +903,13 @@ impl<'a> NetMaster<'a> {
                     self.members[w].tx = None;
                 }
             }
-            // Real units, once the prefix (if any) is behind it.
+            // Real units, once the prefix (if any) is behind it and no
+            // scripted joiner is still owed.
             loop {
                 let m = &self.members[w];
                 if !m.can_dispatch()
                     || m.probes_done < m.probes_target
+                    || self.join_hold.is_some()
                     || m.in_flight.len() >= self.backend.outstanding_per_worker
                 {
                     break;
@@ -1254,6 +1267,18 @@ impl<'a> NetMaster<'a> {
                     for _ in 0..extra {
                         self.spawn_tcp_worker()?;
                     }
+                    let deadline = self.clock.now().as_secs() + self.backend.join_timeout_s;
+                    self.join_hold = Some((extra, deadline));
+                }
+            }
+            if let Some((owed, deadline)) = self.join_hold {
+                let ready = self
+                    .members
+                    .iter()
+                    .filter(|m| m.joined_mid_run && (!m.alive || m.probes_done >= m.probes_target))
+                    .count();
+                if ready >= owed || self.clock.now().as_secs() > deadline {
+                    self.join_hold = None;
                 }
             }
             // Liveness sweep — only when heartbeats are on; with them off

@@ -6,7 +6,9 @@
 //! register through the Join/Welcome handshake and start the job, and once
 //! a quarter of the units are done a **third worker joins mid-run**: it is
 //! admitted, ranked by a calibration prefix of probe units (receiving real
-//! units only afterwards), and then carries part of the remaining load.
+//! units only afterwards), and then carries part of the remaining load.  The
+//! master holds the remaining bands until the joiner is through its prefix,
+//! so the join lands mid-run however long the spawn takes.
 //!
 //! Run with: `cargo build --release && cargo run --release --example net_join`
 //! (the build step produces the `grasp-net-worker` binary the backend
@@ -17,11 +19,8 @@ use grasp_repro::grasp_net::NetBackend;
 use grasp_repro::grasp_workloads::matmul::MatMulJob;
 
 fn main() {
-    // Sized so the job outlasts a process spawn plus handshake by a wide
-    // margin: workers derive the inputs once and reuse them, so each band
-    // costs little more than its multiply.
     let job = MatMulJob {
-        n: 512,
+        n: 192,
         block_rows: 16,
         seed: 9,
     };

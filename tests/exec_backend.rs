@@ -254,19 +254,18 @@ fn injected_slowdown_worker_is_demoted_through_the_shared_engine() {
     use grasp_repro::gridsim::NodeId;
 
     let skeleton = Skeleton::farm(TaskSpec::uniform(3000, 1.0, 0, 0));
-    let backend = ThreadBackend::new(4).with_config(
-        BackendConfig::new()
-            .spin_per_work_unit(30_000)
-            .faults(FaultInjection::none().worker_slowdown(0, 8, 25.0))
-            .clock(EngineClock::Virtual {
-                seconds_per_spin: 1e-9,
-            }),
-    );
+    let backend = ThreadBackend::new(4)
+        .with_config(
+            BackendConfig::new()
+                .spin_per_work_unit(30_000)
+                .faults(FaultInjection::none().worker_slowdown(0, 8, 25.0)),
+        )
+        .with_virtual_clock();
     let mut cfg = GraspConfig {
         scheduler: SchedulePolicy::SelfScheduling,
         ..GraspConfig::default()
     };
-    cfg.execution.monitor_interval_s = 3e-3; // virtual seconds: 100 healthy units
+    cfg.execution.monitor_interval_s = 3e6; // spin iterations: 100 healthy units
     cfg.execution.min_active_nodes = 1;
     let report = Grasp::new(cfg)
         .run(&backend, &skeleton)

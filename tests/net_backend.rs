@@ -446,6 +446,42 @@ fn a_sigkilled_tcp_worker_mid_task_conserves_units() {
 }
 
 #[test]
+fn a_spawned_tcp_joiner_is_admitted_mid_run_however_short_the_job() {
+    // The units are far shorter than a process spawn, so the founders
+    // would finish the job before the joiner's Join arrived.  The master
+    // holds the remaining units until the joiner is through its
+    // calibration prefix, so the join always lands mid-run.
+    let skeleton = Skeleton::farm(TaskSpec::uniform(40, 1.0, 0, 0));
+    let backend = NetBackend::new(2)
+        .with_config(
+            BackendConfig::new()
+                .worker_bin(worker_bin())
+                .spin_per_work_unit(1_000),
+        )
+        .with_fault_injection(FaultInjection::none().join_spawn(30, 1));
+    let report = Grasp::new(GraspConfig::default())
+        .run(&backend, &skeleton)
+        .expect("a worker joining mid-run must not fail the run");
+    assert_eq!(report.outcome.completed, 40);
+    assert!(report.outcome.conserves_units_of(&skeleton));
+    assert_eq!(report.outcome.adaptation_log.node_joins(), 1);
+    match &report.outcome.detail {
+        OutcomeDetail::NetFarm { members, .. } => {
+            assert_eq!(members.len(), 3);
+            let joiner = members
+                .iter()
+                .find(|m| m.joined_mid_run)
+                .expect("the spawned worker joined mid-run");
+            assert!(
+                joiner.calibration_probes > 0,
+                "a mid-run joiner is ranked by a calibration prefix first"
+            );
+        }
+        other => panic!("unexpected detail {other:?}"),
+    }
+}
+
+#[test]
 fn thread_proc_and_net_backends_agree_on_a_fixed_seed_matmul_farm() {
     // Three-way parity: the same fixed-seed job lowered through the same
     // rules must cover the same unit-id set exactly once on threads, on

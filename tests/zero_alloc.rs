@@ -181,7 +181,6 @@ fn warm_worker_matmul_bands_allocate_nothing() {
     });
     let digests: Vec<u64> = digests.into_iter().map(|d| d.expect("warm band")).collect();
     assert_eq!(digests, reference[1..], "warm bands digest like cold ones");
-    assert_eq!(kernels.input_generations(), 1);
     assert_eq!(
         info.count_total,
         0,
